@@ -30,6 +30,25 @@ fn bench_graph() -> grouting_core::graph::CsrGraph {
     )
 }
 
+/// One storage endpoint on an ephemeral address, charging `net` per
+/// exchange.
+fn spawn_storage(
+    transport: &std::sync::Arc<dyn grouting_core::wire::Transport>,
+    tier: &std::sync::Arc<grouting_core::storage::StorageTier>,
+    net: grouting_core::storage::NetworkModel,
+) -> grouting_core::wire::ServiceHandle {
+    grouting_core::wire::StorageService::spawn_opts(
+        std::sync::Arc::clone(transport),
+        &transport.any_addr(),
+        std::sync::Arc::clone(tier),
+        grouting_core::wire::StorageOptions {
+            net,
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
 fn murmur(c: &mut Criterion) {
     if !criterion::group_enabled("murmur3") {
         return;
@@ -221,9 +240,10 @@ fn wire_frames(c: &mut Criterion) {
         },
         trace: None,
     });
-    let fetch_response = Frame::FetchResponse {
-        node: NodeId::new(42),
-        payload: Some((1, bytes::Bytes::from(vec![0xA5u8; 256]))),
+    // A single-node fetch answer: a one-payload batch response.
+    let fetch_response = Frame::FetchBatchResponse {
+        req_id: 42,
+        payloads: vec![Some((1, bytes::Bytes::from(vec![0xA5u8; 256])))],
     };
 
     let mut g = c.benchmark_group("wire_frame");
@@ -247,13 +267,11 @@ fn wire_round_trip(c: &mut Criterion) {
     if !criterion::group_enabled("wire_round_trip") {
         return;
     }
-    use grouting_core::wire::{
-        ConnectionPool, Frame, InProcTransport, TcpTransport, Transport, TransportKind,
-    };
+    use grouting_core::wire::{Frame, InProcTransport, TcpTransport, Transport, TransportKind};
     use std::sync::Arc;
 
     // An echo peer per transport; the bench measures one framed
-    // request/response exchange through a connection pool.
+    // request/response exchange on a single dialled connection.
     fn echo_endpoint(transport: &Arc<dyn Transport>) -> (String, std::thread::JoinHandle<()>) {
         let mut listener = transport.listen(&transport.any_addr()).unwrap();
         let addr = listener.addr();
@@ -283,16 +301,16 @@ fn wire_round_trip(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire_round_trip");
     for (name, transport) in transports {
         let (addr, join) = echo_endpoint(&transport);
-        let mut pool = ConnectionPool::new(Arc::clone(&transport), addr, 1);
-        let request = Frame::FetchRequest {
-            node: NodeId::new(7),
+        let mut conn = transport.dial(&addr).unwrap();
+        let request = Frame::FetchBatchRequest {
+            req_id: 7,
+            nodes: vec![NodeId::new(7)],
+            issued_ns: None,
         };
         g.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(pool.request(&request).unwrap()))
+            b.iter(|| std::hint::black_box(conn.request(&request).unwrap()))
         });
-        // Dropping the pool closes its parked connection; the echo peer's
-        // recv fails and its thread exits.
-        drop(pool);
+        conn.send(&Frame::Shutdown).unwrap();
         let _ = join.join();
     }
     g.finish();
@@ -308,11 +326,21 @@ fn wire_frontier_fetch(c: &mut Criterion) {
     use grouting_core::engine::Worker;
     use grouting_core::query::{BatchSource, ProcessorCache, RecordSource};
     use grouting_core::storage::{NetworkModel, StorageTier};
-    use grouting_core::wire::{
-        MultiplexedStorageSource, RemoteStorageSource, StorageService, TcpTransport, Transport,
-        TransportKind,
-    };
+    use grouting_core::wire::{MultiplexedStorageSource, TcpTransport, Transport, TransportKind};
     use std::sync::Arc;
+
+    /// "Batched with batch cap 1": every node crosses the wire as its own
+    /// one-element batch on the multiplexed connections, because this
+    /// source keeps the trait's default per-node `fetch_batch`.
+    struct PerNode(MultiplexedStorageSource);
+
+    impl RecordSource for PerNode {
+        fn fetch_raw(&mut self, node: NodeId) -> Option<(u16, bytes::Bytes)> {
+            self.0.fetch_raw(node)
+        }
+    }
+
+    impl BatchSource for PerNode {}
 
     if TransportKind::from_env() == TransportKind::InProc {
         // No loopback in this sandbox; the comparison is meaningless over
@@ -328,23 +356,16 @@ fn wire_frontier_fetch(c: &mut Criterion) {
     tier.load_graph(&graph).unwrap();
     let transport: Arc<dyn Transport> = Arc::new(TcpTransport::new());
     let handles: Vec<_> = (0..tier.server_count())
-        .map(|_| {
-            StorageService::spawn(
-                Arc::clone(&transport),
-                Arc::clone(&tier),
-                NetworkModel::local(),
-            )
-            .unwrap()
-        })
+        .map(|_| spawn_storage(&transport, &tier, NetworkModel::local()))
         .collect();
     let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
 
     // A frontier of 64 known-stored nodes — every one a miss under
-    // NullCache, so "per_node" pays 64 serialised RTTs where "batched"
-    // pays one pipelined exchange per server.
+    // NullCache, so "per_node" pays 64 serialised one-node exchanges where
+    // "batched" pays one pipelined exchange per server.
     let frontier: Vec<NodeId> = (0..64u32).map(NodeId::new).collect();
-    let mut scalar_source =
-        RemoteStorageSource::new(Arc::clone(&transport), &addrs, tier.partitioner());
+    let mut per_node_source =
+        MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, tier.partitioner());
     let mut batched_source =
         MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, tier.partitioner());
 
@@ -353,7 +374,7 @@ fn wire_frontier_fetch(c: &mut Criterion) {
     g.bench_function("per_node", |b| {
         b.iter(|| {
             for &node in &frontier {
-                std::hint::black_box(scalar_source.fetch_raw(node));
+                std::hint::black_box(per_node_source.fetch_raw(node));
             }
         })
     });
@@ -374,18 +395,11 @@ fn wire_frontier_fetch(c: &mut Criterion) {
     g.sample_size(10);
     for name in ["per_node", "batched"] {
         let cache: ProcessorCache = Box::new(NullCache::new());
+        let mux = MultiplexedStorageSource::new(Arc::clone(&transport), &addrs, tier.partitioner());
         let source: Box<dyn BatchSource + Send> = if name == "per_node" {
-            Box::new(RemoteStorageSource::new(
-                Arc::clone(&transport),
-                &addrs,
-                tier.partitioner(),
-            ))
+            Box::new(PerNode(mux))
         } else {
-            Box::new(MultiplexedStorageSource::new(
-                Arc::clone(&transport),
-                &addrs,
-                tier.partitioner(),
-            ))
+            Box::new(mux)
         };
         let mut worker = Worker::from_parts(0, source, cache);
         g.bench_function(name, |b| {
@@ -394,7 +408,7 @@ fn wire_frontier_fetch(c: &mut Criterion) {
     }
     g.finish();
 
-    drop(scalar_source);
+    drop(per_node_source);
     drop(batched_source);
     for h in handles {
         h.shutdown();
@@ -456,8 +470,10 @@ fn reactor_dispatch_latency(c: &mut Criterion) {
     for (name, transport) in transports {
         let (addr, join) = echo_reactor(&transport);
         let mut conn = transport.dial(&addr).unwrap();
-        let request = Frame::FetchRequest {
-            node: NodeId::new(7),
+        let request = Frame::FetchBatchRequest {
+            req_id: 7,
+            nodes: vec![NodeId::new(7)],
+            issued_ns: None,
         };
         g.bench_function(name, |b| {
             b.iter(|| std::hint::black_box(conn.request(&request).unwrap()))
@@ -536,8 +552,7 @@ fn wire_overlap_throughput(c: &mut Criterion) {
     use grouting_core::query::ProcessorCache;
     use grouting_core::storage::{NetworkModel, StorageTier};
     use grouting_core::wire::{
-        MultiplexedStorageSource, QueryPipeline, StorageService, TcpTransport, Transport,
-        TransportKind,
+        MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind,
     };
     use std::sync::Arc;
 
@@ -579,7 +594,7 @@ fn wire_overlap_throughput(c: &mut Criterion) {
     g.sample_size(10);
     for (net_name, net) in [("remote", remote_net), ("local", NetworkModel::local())] {
         let handles: Vec<_> = (0..tier.server_count())
-            .map(|_| StorageService::spawn(Arc::clone(&transport), Arc::clone(&tier), net).unwrap())
+            .map(|_| spawn_storage(&transport, &tier, net))
             .collect();
         let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
         for overlap in [1usize, 2, 4] {
@@ -621,8 +636,7 @@ fn wire_prefetch(c: &mut Criterion) {
     use grouting_core::query::{PrefetchConfig, PrefetchPolicy, ProcessorCache};
     use grouting_core::storage::{NetworkModel, StorageTier};
     use grouting_core::wire::{
-        Backoff, MultiplexedStorageSource, QueryPipeline, StorageService, TcpTransport, Transport,
-        TransportKind,
+        Backoff, MultiplexedStorageSource, QueryPipeline, TcpTransport, Transport, TransportKind,
     };
     use std::sync::Arc;
 
@@ -656,9 +670,7 @@ fn wire_prefetch(c: &mut Criterion) {
         gbps: 10.0,
     };
     let handles: Vec<_> = (0..tier.server_count())
-        .map(|_| {
-            StorageService::spawn(Arc::clone(&transport), Arc::clone(&tier), remote_net).unwrap()
-        })
+        .map(|_| spawn_storage(&transport, &tier, remote_net))
         .collect();
     let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
 
@@ -794,8 +806,8 @@ fn wire_failover(c: &mut Criterion) {
     use grouting_core::query::BatchSource;
     use grouting_core::storage::{NetworkModel, StorageTier};
     use grouting_core::wire::{
-        InProcTransport, MultiplexedStorageSource, RetryPolicy, StorageService, TcpTransport,
-        Transport, TransportKind,
+        InProcTransport, MultiplexedStorageSource, RetryPolicy, TcpTransport, Transport,
+        TransportKind,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -832,12 +844,7 @@ fn wire_failover(c: &mut Criterion) {
             .unwrap()
             .addr()
             .to_string();
-        let live = StorageService::spawn(
-            Arc::clone(&transport),
-            Arc::clone(&tier),
-            NetworkModel::local(),
-        )
-        .unwrap();
+        let live = spawn_storage(&transport, &tier, NetworkModel::local());
         // Every node homed on server 0 (the dead address); the live
         // replica at (0 + 1) serves the identical tier.
         let addrs = vec![dead_addr, live.addr().to_string()];
@@ -874,7 +881,7 @@ fn trace_overhead(c: &mut Criterion) {
     use grouting_core::route::RoutingKind;
     use grouting_core::storage::{Preset, StorageTier};
     use grouting_core::trace::{Stage, TraceLevel};
-    use grouting_core::wire::{FetchMode, TransportKind};
+    use grouting_core::wire::TransportKind;
     use std::sync::Arc;
 
     // The tracing layer's acceptance gate: the same small wire cluster run
@@ -913,7 +920,6 @@ fn trace_overhead(c: &mut Criterion) {
             &cfg_at(level),
             transport,
             Preset::Local,
-            FetchMode::Batched,
         )
         .expect("cluster run completes")
     };
@@ -984,7 +990,7 @@ fn obs_overhead(c: &mut Criterion) {
     use grouting_core::live::LiveConfig;
     use grouting_core::route::RoutingKind;
     use grouting_core::storage::StorageTier;
-    use grouting_core::wire::{launch_cluster, ClusterConfig, FetchMode, ObsConfig, TransportKind};
+    use grouting_core::wire::{launch_cluster, ClusterConfig, ObsConfig, TransportKind};
     use std::sync::Arc;
 
     if TransportKind::from_env() == TransportKind::InProc {
@@ -1019,9 +1025,8 @@ fn obs_overhead(c: &mut Criterion) {
     };
     let run_with = |obs: &ObsConfig| {
         let assets = EngineAssets::new(Arc::clone(&tier));
-        let config = ClusterConfig::new(cfg.engine_config(), TransportKind::Tcp)
-            .with_fetch(FetchMode::Batched)
-            .with_obs(obs.clone());
+        let config =
+            ClusterConfig::new(cfg.engine_config(), TransportKind::Tcp).with_obs(obs.clone());
         launch_cluster(&assets, &queries, &config).expect("cluster run completes")
     };
     let sampled = ObsConfig {

@@ -278,9 +278,7 @@ impl GRouting {
     /// and every storage server deployed as framed-transport peers
     /// (real loopback sockets for [`TransportKind::Tcp`]), with all
     /// dispatches, acknowledgements, and adjacency fetches crossing
-    /// connections. The fetch path follows `GROUTING_BATCH` (pipelined
-    /// frontier batches by default, `GROUTING_BATCH=0` for scalar
-    /// per-node round trips).
+    /// connections. Cache misses travel as pipelined frontier batches.
     ///
     /// # Errors
     ///
@@ -299,7 +297,6 @@ impl GRouting {
             &self.live_config(),
             transport,
             grouting_storage::Preset::Local,
-            grouting_wire::FetchMode::from_env(),
         )
     }
 

@@ -15,7 +15,7 @@ use grouting_embed::landmarks::Landmarks;
 use grouting_engine::EngineAssets;
 use grouting_query::Query;
 use grouting_storage::{Preset, StorageTier};
-use grouting_wire::{launch_cluster, ClusterConfig, FetchMode, TransportKind, WireResult};
+use grouting_wire::{launch_cluster, ClusterConfig, TransportKind, WireResult};
 
 use crate::runtime::LiveConfig;
 use crate::LiveReport;
@@ -27,13 +27,11 @@ use crate::LiveReport;
 /// sockets, [`TransportKind::InProc`] for sandboxes without them
 /// ([`TransportKind::from_env`] honours `GROUTING_NO_SOCKETS=1`). `net`
 /// charges an emulated processor↔storage network per fetch at the storage
-/// endpoints ([`Preset::Local`] charges nothing). `fetch` picks the miss
-/// path — scalar per-node round trips or pipelined frontier batches
-/// ([`FetchMode::from_env`] honours `GROUTING_BATCH=0`); both produce
-/// identical results and cache statistics, batched just crosses the wire
-/// far fewer times. `cfg.overlap` sets the per-processor in-flight query
-/// window (cross-query fetch overlap in batched mode; `1` = strictly
-/// serial with byte-identical cache statistics to [`run_live`]).
+/// endpoints ([`Preset::Local`] charges nothing). Cache misses travel as
+/// pipelined frontier batches, one per storage server per hop.
+/// `cfg.overlap` sets the per-processor in-flight query window
+/// (cross-query fetch overlap; `1` = strictly serial with byte-identical
+/// cache statistics to [`crate::runtime::run_live`]).
 ///
 /// # Errors
 ///
@@ -45,7 +43,6 @@ use crate::LiveReport;
 /// Panics if `cfg.processors == 0`, or if a smart scheme is requested
 /// without its preprocessing asset — the same contract as
 /// [`crate::runtime::run_live`].
-#[allow(clippy::too_many_arguments)] // Mirrors run_live plus the three wire knobs.
 pub fn run_cluster(
     tier: Arc<StorageTier>,
     landmarks: Option<Arc<Landmarks>>,
@@ -54,14 +51,11 @@ pub fn run_cluster(
     cfg: &LiveConfig,
     transport: TransportKind,
     net: Preset,
-    fetch: FetchMode,
 ) -> WireResult<LiveReport> {
     let assets = EngineAssets::new(tier)
         .with_landmarks(landmarks)
         .with_embedding(embedding);
-    let mut cluster_cfg = ClusterConfig::new(cfg.engine_config(), transport)
-        .with_fetch(fetch)
-        .with_trace(cfg.trace);
+    let mut cluster_cfg = ClusterConfig::new(cfg.engine_config(), transport).with_trace(cfg.trace);
     cluster_cfg.net = net;
     let run = launch_cluster(&assets, queries, &cluster_cfg)?;
     Ok(LiveReport {
@@ -131,7 +125,6 @@ mod tests {
             &LiveConfig::paper_default(3, RoutingKind::Hash),
             TransportKind::InProc,
             Preset::Local,
-            FetchMode::Batched,
         )
         .unwrap();
         assert_eq!(report.results.len(), q.len());

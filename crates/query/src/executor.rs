@@ -8,8 +8,7 @@
 //! Two execution shapes share the same query algorithms:
 //!
 //! * [`Executor::run`] — runs a query to completion, blocking on every
-//!   storage fetch (the simulator, the threaded runtime, and the scalar
-//!   wire path);
+//!   storage fetch (the simulator and the threaded runtime);
 //! * [`StagedQuery`] — the same execution split at frontier-fetch
 //!   boundaries: each [`StagedQuery::resume`] advances until the query
 //!   either finishes or needs remote records ([`Step::Fetch`]), letting a
@@ -147,7 +146,7 @@ fn run_query<S: BatchSource>(store: &mut CacheBackedStore<'_, S>, query: &Query)
 /// server instead of one round trip per node. The discovery order —
 /// each expanded node's unseen neighbours, concatenated in expansion
 /// order — is exactly the order the node-at-a-time BFS fetched in, so
-/// cache statistics are byte-identical to the scalar path.
+/// cache statistics are byte-identical to node-at-a-time fetching.
 fn neighbor_aggregation<S: BatchSource>(
     store: &mut CacheBackedStore<'_, S>,
     node: NodeId,

@@ -2,11 +2,12 @@
 //!
 //! Every adjacency record a query touches flows through here: first the
 //! processor's local cache, then (on miss) a [`RecordSource`] — the storage
-//! tier when processors hold direct handles, or a remote socket path when
-//! the cluster is deployed over a wire transport. The hit/miss tallies
-//! recorded per query are exactly the paper's cache-hit/cache-miss rates
-//! (Eq. 8/9), and the miss byte counts are what the simulator feeds into
-//! the network cost model.
+//! tier when processors hold direct handles, or, when the cluster is
+//! deployed over a wire transport, `grouting-wire`'s frontier-batched
+//! multiplexer (a lone node travels as a one-element batch). The hit/miss
+//! tallies recorded per query are exactly the paper's cache-hit/cache-miss
+//! rates (Eq. 8/9), and the miss byte counts are what the simulator feeds
+//! into the network cost model.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use crate::prefetch::PrefetchState;
 ///
 /// The decoupled architecture means a processor's miss path is pluggable:
 /// an in-process [`StorageTier`] handle (the simulator and the channel
-/// runtime), or a framed socket connection to remote storage servers (the
+/// runtime), or framed connections to remote storage servers (the
 /// `grouting-wire` deployment). Either way the contract is the same as
 /// [`StorageTier::get`]: the serving server id plus the *encoded* value, so
 /// byte-level cache accounting is identical on every path.
@@ -59,9 +60,9 @@ impl<S: RecordSource + ?Sized> RecordSource for &mut S {
 /// group the nodes per storage server and ship a single pipelined batch
 /// frame per server per hop instead of one blocking round trip per node.
 /// The default implementation degrades to per-node [`RecordSource`]
-/// fetches, which is exactly the scalar behaviour — in-process tier
-/// handles override it with a direct multi-get, remote sources with the
-/// `grouting-wire` batch protocol.
+/// fetches (one exchange per node) — in-process tier handles override it
+/// with a direct multi-get, the remote source with the `grouting-wire`
+/// batch protocol.
 pub trait BatchSource: RecordSource {
     /// Fetches the encoded adjacency values for `nodes`, one entry per
     /// requested node in the same order (`None` where the node is not
@@ -193,7 +194,7 @@ impl<'a, S: RecordSource> CacheBackedStore<'a, S> {
 
     /// One cache-then-source access, optionally satisfied from a prefetch
     /// map. This is the *only* place hits, misses, bytes, evictions, and
-    /// the miss log are recorded, so the scalar and batched paths cannot
+    /// the miss log are recorded, so the per-node and batched paths cannot
     /// drift: [`CacheBackedStore::fetch_many`] replays exactly this
     /// sequence per node, merely sourcing the miss payloads from one batch
     /// exchange instead of one round trip each.

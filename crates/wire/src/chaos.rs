@@ -34,9 +34,10 @@ use grouting_storage::NetworkModel;
 use crate::cluster::{validate_config, ClusterConfig, ClusterRun};
 use crate::error::{WireError, WireResult};
 use crate::fault::{FaultPlan, FaultyTransport};
+use crate::flow::FetchMode;
 use crate::frame::{Frame, Role};
 use crate::service::{now_ns, run_router, ProcessorOptions, ProcessorService, RouterOptions};
-use crate::service::{ServiceHandle, StorageService};
+use crate::service::{ServiceHandle, StorageOptions, StorageService};
 use crate::transport::{Connection, Transport};
 
 /// How long the harness waits for a restarted processor's re-join to be
@@ -163,15 +164,21 @@ pub fn launch_chaos_cluster(
 
     // Storage endpoints, one per tier server, each restartable at the
     // address it announces here.
+    let spawn_storage = |addr: &str| {
+        StorageService::spawn_opts(
+            Arc::clone(&transport),
+            addr,
+            Arc::clone(&assets.tier),
+            StorageOptions {
+                net,
+                poller: config.reactor,
+                ..StorageOptions::default()
+            },
+        )
+    };
     let mut storage: Vec<Option<ServiceHandle>> = Vec::new();
     for _ in 0..assets.tier.server_count() {
-        storage.push(Some(StorageService::spawn_full(
-            Arc::clone(&transport),
-            Arc::clone(&assets.tier),
-            net,
-            config.reactor,
-            None,
-        )?));
+        storage.push(Some(spawn_storage(&transport.any_addr())?));
     }
     let storage_addrs: Vec<String> = storage
         .iter()
@@ -217,7 +224,7 @@ pub fn launch_chaos_cluster(
             storage_addrs.clone(),
             Arc::clone(&partitioner),
             config.engine,
-            config.fetch,
+            FetchMode::Batched,
             ProcessorOptions {
                 poller: config.reactor,
                 telemetry: None,
@@ -242,16 +249,7 @@ pub fn launch_chaos_cluster(
         &mut storage,
         &storage_addrs,
         &spawn_proc,
-        |server| {
-            StorageService::spawn_bound(
-                Arc::clone(&transport),
-                &storage_addrs[server],
-                Arc::clone(&assets.tier),
-                net,
-                config.reactor,
-                None,
-            )
-        },
+        |server| spawn_storage(&storage_addrs[server]),
     );
     if run.is_err() {
         // Abort a half-started run so the joins below cannot hang.
@@ -492,7 +490,6 @@ fn apply_action(
 mod tests {
     use super::*;
     use crate::cluster::TransportKind;
-    use crate::flow::FetchMode;
     use crate::transport::RetryPolicy;
     use grouting_engine::EngineConfig;
     use grouting_graph::{GraphBuilder, NodeId};
@@ -535,18 +532,18 @@ mod tests {
             .collect()
     }
 
-    fn chaos_config(fetch: FetchMode) -> ClusterConfig {
+    fn chaos_config() -> ClusterConfig {
         let engine = EngineConfig {
             stealing: false,
             cache_capacity: 4 << 20,
             ..EngineConfig::paper_default(2, RoutingKind::Hash)
         };
         ClusterConfig::new(engine, TransportKind::InProc)
-            .with_fetch(fetch)
             .with_retry(RetryPolicy::new(2, Duration::from_millis(1)))
     }
 
-    fn kill_everything_once_over(fetch: FetchMode) {
+    #[test]
+    fn kill_everything_once_batched() {
         let tier = disjoint_tier(24, 2, 2);
         let assets = EngineAssets::new(tier);
         let script = ChaosScript::new()
@@ -557,7 +554,7 @@ mod tests {
             .then(ChaosAction::KillProcessor(1))
             .then(ChaosAction::RestartProcessor(1))
             .wave(wave(16..24));
-        let config = chaos_config(fetch);
+        let config = chaos_config();
         let chaos = launch_chaos_cluster(&assets, &script, &config).unwrap();
         let calm = launch_chaos_cluster(&assets, &script.fault_free(), &config).unwrap();
         assert_eq!(chaos.results, calm.results);
@@ -575,24 +572,13 @@ mod tests {
     }
 
     #[test]
-    fn kill_everything_once_batched() {
-        kill_everything_once_over(FetchMode::Batched);
-    }
-
-    #[test]
-    fn kill_everything_once_scalar() {
-        kill_everything_once_over(FetchMode::Scalar);
-    }
-
-    #[test]
     fn script_errors_name_the_bad_action() {
         let tier = disjoint_tier(4, 2, 2);
         let assets = EngineAssets::new(tier);
         let script = ChaosScript::new()
             .wave(wave(0..4))
             .then(ChaosAction::RestartStorage(0));
-        let err =
-            launch_chaos_cluster(&assets, &script, &chaos_config(FetchMode::Batched)).unwrap_err();
+        let err = launch_chaos_cluster(&assets, &script, &chaos_config()).unwrap_err();
         assert!(
             err.to_string().contains("storage 0 is not down"),
             "got {err}"

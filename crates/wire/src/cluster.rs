@@ -102,10 +102,6 @@ pub struct ClusterConfig {
     /// Emulated processor↔storage network (charged per fetch at the
     /// storage endpoints; [`Preset::Local`] charges nothing).
     pub net: Preset,
-    /// The processor↔storage fetch path: scalar per-node round trips, or
-    /// pipelined frontier batches ([`FetchMode::from_env`] honours
-    /// `GROUTING_BATCH=0`).
-    pub fetch: FetchMode,
     /// Emit a mid-run metrics snapshot to the client every this many
     /// completions (`0` = final snapshot only).
     pub snapshot_every: u64,
@@ -135,14 +131,12 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A cluster over `engine` on the given transport with a free network
-    /// and the default (batched) fetch path.
+    /// A cluster over `engine` on the given transport with a free network.
     pub fn new(engine: EngineConfig, transport: TransportKind) -> Self {
         Self {
             engine,
             transport,
             net: Preset::Local,
-            fetch: FetchMode::default(),
             snapshot_every: 0,
             reactor: PollerKind::from_env(),
             trace: TraceLevel::from_env(),
@@ -183,13 +177,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides the processor↔storage fetch path.
-    #[must_use]
-    pub fn with_fetch(mut self, fetch: FetchMode) -> Self {
-        self.fetch = fetch;
-        self
-    }
-
     /// Overrides the readiness backend every peer's poll loop runs on.
     #[must_use]
     pub fn with_reactor(mut self, reactor: PollerKind) -> Self {
@@ -213,8 +200,6 @@ impl ClusterConfig {
 
     /// Overrides the speculative-prefetch policy and budget (the engine's
     /// [`grouting_engine::EngineConfig::prefetch`] knob; default off).
-    /// Only the batched fetch path speculates — scalar-mode processors
-    /// ignore it.
     #[must_use]
     pub fn with_prefetch(mut self, prefetch: grouting_query::PrefetchConfig) -> Self {
         self.engine.prefetch = prefetch;
@@ -387,7 +372,7 @@ pub fn launch_cluster(
                 storage_addrs.clone(),
                 Arc::clone(&partitioner),
                 config.engine,
-                config.fetch,
+                FetchMode::Batched,
                 ProcessorOptions {
                     poller: config.reactor,
                     telemetry: telemetry.clone(),
@@ -420,14 +405,18 @@ pub fn launch_cluster(
     let router_result = router
         .join()
         .map_err(|_| WireError::Protocol("router thread panicked".to_string()))?;
-    let mut dead_processors = 0usize;
-    for handle in processors {
-        // Both a panic and a processor that bailed with a wire error count
-        // as dead — only a clean Shutdown-driven exit is healthy.
-        if !matches!(handle.join(), Ok(Ok(()))) {
-            dead_processors += 1;
-        }
-    }
+    // Both a panic and a processor that bailed with a wire error count as
+    // dead — only a clean Shutdown-driven exit is healthy. Each death keeps
+    // its id and exit cause for the error below.
+    let dead_processors: Vec<String> = processors
+        .into_iter()
+        .enumerate()
+        .filter_map(|(id, handle)| match handle.join() {
+            Ok(Ok(())) => None,
+            Ok(Err(e)) => Some(format!("processor {id}: {e}")),
+            Err(_) => Some(format!("processor {id}: panicked")),
+        })
+        .collect();
     for handle in storage_handles {
         handle.shutdown();
     }
@@ -444,9 +433,11 @@ pub fn launch_cluster(
         Err(router_err) => return Err(router_err),
     };
     let (results, timeline, client_snapshot, mid_snapshots, trace, wall_ns) = run?;
-    if dead_processors > 0 {
+    if !dead_processors.is_empty() {
         return Err(WireError::Protocol(format!(
-            "{dead_processors} processor thread(s) died mid-run"
+            "{} processor thread(s) died mid-run ({})",
+            dead_processors.len(),
+            dead_processors.join("; ")
         )));
     }
     debug_assert_eq!(

@@ -11,8 +11,8 @@
 //! replays identically from the same plan.
 //!
 //! Faults arm on the *dialling* side, which is where every recovery path
-//! in this crate lives: the batch multiplexer and the scalar connection
-//! pools both react to send/receive errors on connections they dialled.
+//! in this crate lives: the batch multiplexer reacts to send/receive
+//! errors on the connections it dialled.
 //!
 //! Plans come from two places:
 //!
@@ -425,8 +425,10 @@ mod tests {
     use grouting_graph::NodeId;
 
     fn frame(i: u32) -> Frame {
-        Frame::FetchRequest {
-            node: NodeId::new(i),
+        Frame::FetchBatchRequest {
+            req_id: u64::from(i),
+            nodes: vec![NodeId::new(i)],
+            issued_ns: None,
         }
     }
 

@@ -1,9 +1,10 @@
-//! `grouting-flow`: pipelined, frontier-batched adjacency fetching.
+//! `grouting-flow`: pipelined, frontier-batched adjacency fetching — the
+//! processors' only miss path.
 //!
-//! The scalar fetch path ([`crate::service::RemoteStorageSource`]) issues
-//! one blocking request/reply exchange per frontier node, so a multi-hop
-//! BFS pays one loopback RTT (~16 µs) per discovered node, serialised.
-//! This module keeps many fetches in flight per processor instead:
+//! A naive remote miss path issues one blocking request/reply exchange per
+//! frontier node, so a multi-hop BFS pays one loopback RTT (~16 µs) per
+//! discovered node, serialised. This module keeps many fetches in flight
+//! per processor instead:
 //!
 //! * [`BatchMux`] — a connection multiplexer holding one framed connection
 //!   per storage server. Batches are *submitted* (written, correlation id
@@ -14,13 +15,11 @@
 //!   ([`crate::transport::FrameStream::try_recv`], `set_nonblocking`
 //!   under TCP) draining whichever server answers first, with replies
 //!   matched to requests by `req_id` so out-of-order completion is fine;
-//! * [`MultiplexedStorageSource`] — the [`BatchSource`] a batched-mode
-//!   processor plugs behind its cache: it groups a frontier's miss set by
-//!   the placement function and ships exactly one batch per storage
-//!   server per hop;
-//! * [`FetchMode`] — the scalar/batched toggle carried by cluster
-//!   configuration, `GROUTING_BATCH=0` in the environment forcing the
-//!   scalar path for comparison runs.
+//! * [`MultiplexedStorageSource`] — the [`BatchSource`] every processor
+//!   plugs behind its cache: it groups a frontier's miss set by the
+//!   placement function and ships exactly one batch per storage server per
+//!   hop. A single-node fetch ([`RecordSource::fetch_raw`]) is a
+//!   one-element batch on the same connections.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,39 +37,15 @@ use crate::frame::Frame;
 use crate::reactor::{sample_pool, Poller, PollerKind};
 use crate::transport::{Connection, FrameSink, FrameStream, RetryPolicy, Transport};
 
-/// Which processor↔storage fetch path a deployment runs.
+/// The processor↔storage fetch path. Frontier batching through
+/// [`BatchMux`] is the only one; the enum remains solely because the
+/// out-of-workspace benchmark names `FetchMode::Batched` in its
+/// [`crate::ProcessorService::spawn_opts`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FetchMode {
-    /// One blocking request/reply round trip per node (the PR 2 path).
-    Scalar,
     /// Frontier-batched, pipelined fetching through [`BatchMux`].
     #[default]
     Batched,
-}
-
-impl FetchMode {
-    /// Honours the `GROUTING_BATCH` toggle: batched by default,
-    /// `GROUTING_BATCH=0` (or `false`/`off`) forcing the scalar path so CI
-    /// and benches can exercise both.
-    pub fn from_env() -> Self {
-        match std::env::var("GROUTING_BATCH") {
-            Ok(v)
-                if v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off") =>
-            {
-                FetchMode::Scalar
-            }
-            _ => FetchMode::Batched,
-        }
-    }
-}
-
-impl std::fmt::Display for FetchMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FetchMode::Scalar => write!(f, "scalar"),
-            FetchMode::Batched => write!(f, "batched"),
-        }
-    }
 }
 
 /// One batch's worth of per-node payloads: the serving server id and
@@ -214,8 +189,7 @@ impl BatchMux {
     }
 
     /// Times a dead connection was replaced by a fresh dial (with its
-    /// outstanding requests resubmitted) — the batched counterpart of
-    /// [`crate::transport::ConnectionPool::reconnects`].
+    /// outstanding requests resubmitted).
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
@@ -313,7 +287,7 @@ impl BatchMux {
     /// Replaces a dead connection with a fresh dial — down the replica
     /// chain when the primary stays unreachable through the backoff ladder
     /// — and resubmits every outstanding request on it, masking a storage
-    /// endpoint death exactly as the scalar path's pooled reconnect does.
+    /// endpoint death.
     /// Partially accumulated chunks are discarded — the fresh connection
     /// re-answers each request in full, so nothing is double-counted.
     ///
@@ -546,12 +520,12 @@ impl BatchMux {
     }
 }
 
-/// The batched-mode miss path behind a processor's cache: a frontier's
-/// miss set grouped per storage server, one pipelined batch frame each.
+/// The miss path behind a processor's cache: a frontier's miss set grouped
+/// per storage server, one pipelined batch frame each.
 ///
 /// Single-node fetches (reachability expansions, random-walk steps) travel
 /// as one-element batches over the same multiplexed connections, so a
-/// batched processor speaks only the batch protocol.
+/// processor speaks only the batch protocol.
 pub struct MultiplexedStorageSource {
     partitioner: Arc<dyn Partitioner>,
     mux: BatchMux,
@@ -1212,10 +1186,8 @@ mod tests {
 
     #[test]
     fn fetch_mode_env_values() {
-        // Only the parser; the env var itself belongs to CI.
+        // Batched is the only fetch path, and the default.
         assert_eq!(FetchMode::default(), FetchMode::Batched);
-        assert_eq!(FetchMode::Scalar.to_string(), "scalar");
-        assert_eq!(FetchMode::Batched.to_string(), "batched");
     }
 
     /// A batch server that accepts ONE connection, unbinds its listener

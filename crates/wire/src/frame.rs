@@ -18,9 +18,10 @@
 //!   (ack-driven: at most one outstanding per processor);
 //! * [`Frame::Completion`] — the processor's acknowledgement: result,
 //!   access stats, lifecycle timestamps;
-//! * [`Frame::FetchRequest`]/[`Frame::FetchResponse`] — a processor's
-//!   cache-miss path to a storage server (the value is the *encoded*
-//!   adjacency record, so byte accounting matches the in-proc engine);
+//! * [`Frame::FetchBatchRequest`]/[`Frame::FetchBatchResponse`] — a
+//!   processor's cache-miss path to a storage server, one frontier (or one
+//!   node) per exchange (values are the *encoded* adjacency records, so
+//!   byte accounting matches the in-proc engine);
 //! * [`Frame::MetricsRequest`]/[`Frame::Metrics`] — run-total snapshots;
 //! * [`Frame::ObsPush`] — a node's sampled metrics registry, forwarded
 //!   to the router so one scrape of the router reads the whole cluster;
@@ -57,8 +58,8 @@ const TAG_SUBMIT: u8 = 2;
 const TAG_SUBMIT_END: u8 = 3;
 const TAG_DISPATCH: u8 = 4;
 const TAG_COMPLETION: u8 = 5;
-const TAG_FETCH_REQUEST: u8 = 6;
-const TAG_FETCH_RESPONSE: u8 = 7;
+// Tags 6 and 7 carried the retired per-node fetch frames; they are not
+// reused, so a peer still speaking them is rejected as an unknown tag.
 const TAG_METRICS_REQUEST: u8 = 8;
 const TAG_METRICS: u8 = 9;
 const TAG_SHUTDOWN: u8 = 10;
@@ -170,19 +171,6 @@ pub enum Frame {
     },
     /// Processor → router → client: one finished query.
     Completion(Completion),
-    /// Processor → storage: adjacency record wanted.
-    FetchRequest {
-        /// The node whose record is wanted.
-        node: NodeId,
-    },
-    /// Storage → processor: the encoded record, or a miss.
-    FetchResponse {
-        /// The requested node (lets a pool detect desynced streams).
-        node: NodeId,
-        /// Serving server id and encoded adjacency value, `None` when the
-        /// node is not stored.
-        payload: Option<(u16, Bytes)>,
-    },
     /// Processor → storage: one frontier's worth of adjacency records
     /// wanted in a single exchange (the `grouting-flow` batch path).
     FetchBatchRequest {
@@ -238,8 +226,6 @@ impl Frame {
             Frame::SubmitEnd => "submit-end",
             Frame::Dispatch { .. } => "dispatch",
             Frame::Completion(_) => "completion",
-            Frame::FetchRequest { .. } => "fetch-request",
-            Frame::FetchResponse { .. } => "fetch-response",
             Frame::FetchBatchRequest { .. } => "fetch-batch-request",
             Frame::FetchBatchResponse { .. } => "fetch-batch-response",
             Frame::ObsPush { .. } => "obs-push",
@@ -304,23 +290,6 @@ impl Frame {
                 c.heat.encode_into(&mut buf);
                 if let Some(t) = &c.trace {
                     t.encode_into(&mut buf);
-                }
-            }
-            Frame::FetchRequest { node } => {
-                buf.put_u8(TAG_FETCH_REQUEST);
-                buf.put_u32_le(node.raw());
-            }
-            Frame::FetchResponse { node, payload } => {
-                buf.put_u8(TAG_FETCH_RESPONSE);
-                buf.put_u32_le(node.raw());
-                match payload {
-                    None => buf.put_u8(0),
-                    Some((server, value)) => {
-                        buf.put_u8(1);
-                        buf.put_u16_le(*server);
-                        buf.put_u32_le(value.len() as u32);
-                        buf.put_slice(value);
-                    }
                 }
             }
             Frame::FetchBatchRequest {
@@ -395,14 +364,6 @@ impl Frame {
                     + c.heat.encoded_len()
                     + c.trace.as_ref().map_or(0, QueryTrace::encoded_len)
             }
-            Frame::FetchRequest { .. } => 1 + 4,
-            Frame::FetchResponse { payload, .. } => {
-                1 + 4
-                    + match payload {
-                        None => 1,
-                        Some((_, value)) => 1 + 2 + 4 + value.len(),
-                    }
-            }
             Frame::FetchBatchRequest {
                 nodes, issued_ns, ..
             } => 1 + 8 + 4 + 4 * nodes.len() + issued_ns.map_or(0, |_| 8),
@@ -434,22 +395,6 @@ impl Frame {
     /// allocation. Frames without payload sections return a single chunk.
     pub fn encode_chunks(&self) -> Vec<Bytes> {
         match self {
-            Frame::FetchResponse {
-                node,
-                payload: Some((server, value)),
-            } => {
-                let mut meta = BytesMut::with_capacity(12);
-                meta.put_u8(TAG_FETCH_RESPONSE);
-                meta.put_u32_le(node.raw());
-                meta.put_u8(1);
-                meta.put_u16_le(*server);
-                meta.put_u32_le(value.len() as u32);
-                let mut chunks = vec![meta.freeze()];
-                if !value.is_empty() {
-                    chunks.push(value.clone());
-                }
-                chunks
-            }
             Frame::FetchBatchResponse { req_id, payloads } => {
                 // Fixed-width fields accumulate into one meta buffer;
                 // `cuts` marks where a payload interleaves. The chunks are
@@ -594,30 +539,6 @@ impl Frame {
                     heat,
                     trace,
                 })
-            }
-            TAG_FETCH_REQUEST => {
-                need(&data, 4)?;
-                Frame::FetchRequest {
-                    node: NodeId::new(data.get_u32_le()),
-                }
-            }
-            TAG_FETCH_RESPONSE => {
-                need(&data, 5)?;
-                let node = NodeId::new(data.get_u32_le());
-                let payload = match data.get_u8() {
-                    0 => None,
-                    1 => {
-                        need(&data, 6)?;
-                        let server = data.get_u16_le();
-                        let len = data.get_u32_le() as usize;
-                        need(&data, len)?;
-                        let value = data.slice(0..len);
-                        data.advance(len);
-                        Some((server, value))
-                    }
-                    f => return Err(WireError::Codec(format!("bad payload flag {f}"))),
-                };
-                Frame::FetchResponse { node, payload }
             }
             TAG_FETCH_BATCH_REQUEST => {
                 need(&data, 12)?;
@@ -955,15 +876,6 @@ mod tests {
             }),
             Frame::ObsPush {
                 snapshot: obs_snapshot(),
-            },
-            Frame::FetchRequest { node: n(123) },
-            Frame::FetchResponse {
-                node: n(123),
-                payload: Some((1, Bytes::from(vec![1u8, 2, 3]))),
-            },
-            Frame::FetchResponse {
-                node: n(999),
-                payload: None,
             },
             Frame::FetchBatchRequest {
                 req_id: 7,
@@ -1352,6 +1264,15 @@ mod tests {
     #[test]
     fn unknown_tags_are_rejected() {
         assert!(Frame::decode(Bytes::from(vec![200u8])).is_err());
+        // The retired per-node fetch tags are rejected, never reused.
+        for retired in [6u8, 7] {
+            let mut raw = vec![retired];
+            raw.extend_from_slice(&123u32.to_le_bytes());
+            match Frame::decode(Bytes::from(raw)) {
+                Err(WireError::Codec(m)) => assert!(m.starts_with("unknown frame tag"), "{m}"),
+                other => panic!("retired tag {retired} decoded as {other:?}"),
+            }
+        }
         assert!(Frame::decode(Bytes::new()).is_err());
         // Unknown query tag inside a submit.
         assert!(Frame::decode(Bytes::from(vec![TAG_SUBMIT, 0, 0, 0, 0, 0, 0, 0, 0, 77])).is_err());
@@ -1532,9 +1453,10 @@ mod tests {
             server in 0u16..256,
             payload in proptest::option::of(proptest::collection::vec(0u8..=255, 0..200)),
         ) {
-            let f = Frame::FetchResponse {
-                node: n(node),
-                payload: payload.map(|v| (server, Bytes::from(v))),
+            // A single-node fetch answer: a one-payload batch response.
+            let f = Frame::FetchBatchResponse {
+                req_id: u64::from(node),
+                payloads: vec![payload.map(|v| (server, Bytes::from(v)))],
             };
             proptest::prop_assert_eq!(Frame::decode(f.encode()).unwrap(), f);
         }
@@ -1586,7 +1508,7 @@ mod tests {
         /// field values where the type has any.
         #[test]
         fn prop_any_frame_round_trips(
-            kind in 0u8..13,
+            kind in 0u8..11,
             seq in 0u64..u64::MAX,
             id in 0u32..1024,
             node in 0u32..1_000_000,
@@ -1648,13 +1570,8 @@ mod tests {
                         level_spans: vec![(seq / 9, seq / 11); (id % 3) as usize],
                     }),
                 }),
-                5 => Frame::FetchRequest { node: n(node) },
-                6 => Frame::FetchResponse {
-                    node: n(node),
-                    payload: Some((server, Bytes::from(payload))),
-                },
-                7 => Frame::MetricsRequest,
-                8 => Frame::Metrics {
+                5 => Frame::MetricsRequest,
+                6 => Frame::Metrics {
                     snapshot: RunSnapshot {
                         queries: count,
                         cache_hits: count / 2,
@@ -1678,12 +1595,12 @@ mod tests {
                         Box::new(t)
                     }),
                 },
-                9 => Frame::FetchBatchRequest {
+                7 => Frame::FetchBatchRequest {
                     req_id: seq,
                     nodes: (0..id % 40).map(|i| n(node.wrapping_add(i))).collect(),
                     issued_ns: (seq % 2 == 0).then_some(seq / 4),
                 },
-                10 => Frame::FetchBatchResponse {
+                8 => Frame::FetchBatchResponse {
                     req_id: seq,
                     payloads: (0..id % 40)
                         .map(|i| {
@@ -1691,7 +1608,7 @@ mod tests {
                         })
                         .collect(),
                 },
-                11 => {
+                9 => {
                     let role = match id % 3 {
                         0 => grouting_obs::NodeRole::Router,
                         1 => grouting_obs::NodeRole::Processor,

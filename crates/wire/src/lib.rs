@@ -10,13 +10,13 @@
 //!   snapshots) and its length-prefixed little-endian binary codec;
 //! * [`transport`] — the [`Transport`](transport::Transport) abstraction
 //!   with two fabrics: [`TcpTransport`](transport::TcpTransport) (real
-//!   `std::net` sockets, framed streams, pooled connections with
-//!   reconnect) and [`InProcTransport`](transport::InProcTransport)
+//!   `std::net` sockets, framed streams, a bounded redial ladder) and
+//!   [`InProcTransport`](transport::InProcTransport)
 //!   (hermetic channels that still move encoded bytes);
-//! * [`flow`] — pipelined, frontier-batched adjacency fetching: a
-//!   non-blocking connection multiplexer keeping one batch frame per
-//!   storage server in flight per BFS hop, correlated by request id,
-//!   instead of one blocking round trip per frontier node;
+//! * [`flow`] — pipelined, frontier-batched adjacency fetching, the only
+//!   miss path: a non-blocking connection multiplexer keeping one batch
+//!   frame per storage server in flight per BFS hop, correlated by request
+//!   id, instead of one blocking round trip per frontier node;
 //! * [`reactor`] — the readiness reactor: ONE poll loop per node
 //!   multiplexing the listener and every framed connection, replacing the
 //!   thread-per-connection control path (O(connections) → O(1) threads);
@@ -25,7 +25,7 @@
 //!   flight per processor as resumable staged executions, double-buffering
 //!   frontiers so one query's batch travels while another computes;
 //! * [`service`] — the three tiers as independently runnable endpoints:
-//!   storage servers answering fetches (scalar and batched), processors
+//!   storage servers answering batched fetches, processors
 //!   executing dispatched queries with a remote miss path, and the router
 //!   node driving the *same* [`grouting_engine::Engine`] the in-proc
 //!   runtimes drive — masking mid-run processor deaths, re-admitting
@@ -64,12 +64,12 @@ pub use grouting_obs::{NodeObs, NodeRole, ObsConfig, Registry, RegistrySnapshot}
 pub use overlap::{CompletedQuery, QueryPipeline};
 pub use reactor::{Backoff, Poller, PollerKind, Reactor, ReactorEvent, SweepPoller};
 pub use service::{
-    now_ns, run_router, FailoverCell, ProcessorOptions, ProcessorService, RemoteStorageSource,
-    RouterOptions, ServiceHandle, StorageOptions, StorageService,
+    now_ns, run_router, ProcessorOptions, ProcessorService, RouterOptions, ServiceHandle,
+    StorageOptions, StorageService,
 };
 pub use transport::{
-    Connection, ConnectionPool, FrameSink, FrameStream, InProcTransport, Listener, RetryPolicy,
-    TcpTransport, Transport,
+    Connection, FrameSink, FrameStream, InProcTransport, Listener, RetryPolicy, TcpTransport,
+    Transport,
 };
 
 #[cfg(test)]
@@ -81,7 +81,7 @@ mod tests {
     use grouting_partition::HashPartitioner;
     use grouting_query::{Query, RecordSource};
     use grouting_route::RoutingKind;
-    use grouting_storage::{NetworkModel, StorageTier};
+    use grouting_storage::StorageTier;
     use std::sync::Arc;
 
     fn n(i: u32) -> NodeId {
@@ -100,6 +100,17 @@ mod tests {
         tier
     }
 
+    /// One storage endpoint on an ephemeral address with default knobs.
+    fn spawn_storage(transport: &Arc<dyn Transport>, tier: &Arc<StorageTier>) -> ServiceHandle {
+        StorageService::spawn_opts(
+            Arc::clone(transport),
+            &transport.any_addr(),
+            Arc::clone(tier),
+            StorageOptions::default(),
+        )
+        .unwrap()
+    }
+
     fn queries(nodes: u32, count: u32) -> Vec<Query> {
         (0..count)
             .map(|i| Query::NeighborAggregation {
@@ -114,14 +125,10 @@ mod tests {
     fn storage_service_serves_remote_fetches() {
         let tier = loaded_tier(16, 2);
         let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
-        let handle = StorageService::spawn(
-            Arc::clone(&transport),
-            Arc::clone(&tier),
-            NetworkModel::local(),
-        )
-        .unwrap();
+        let handle = spawn_storage(&transport, &tier);
 
-        let mut source = RemoteStorageSource::new(
+        // Single-node fetches: each is a one-element batch exchange.
+        let mut source = MultiplexedStorageSource::new(
             Arc::clone(&transport),
             &[handle.addr().to_string(), handle.addr().to_string()],
             tier.partitioner(),
@@ -133,6 +140,7 @@ mod tests {
             assert_eq!(&bytes[..], &want_bytes[..]);
         }
         assert!(source.fetch_raw(n(999)).is_none());
+        drop(source);
         handle.shutdown();
     }
 
@@ -167,6 +175,31 @@ mod tests {
     #[test]
     fn tcp_cluster_end_to_end() {
         end_to_end_over(TransportKind::Tcp);
+    }
+
+    #[test]
+    fn observed_teardown_never_counts_as_a_processor_death() {
+        // Sampling every poll round makes processors push `ObsPush` frames
+        // right up to teardown, racing the router's Shutdown-and-hang-up.
+        // A push that lands on the closed connection must be dropped, not
+        // turned into a processor death — repeated so the race gets many
+        // chances to fire.
+        let tier = loaded_tier(48, 2);
+        let assets = EngineAssets::new(tier);
+        let q = queries(48, 24);
+        // The scrape address only switches the sampler on (a sandbox that
+        // cannot bind it still samples); no flight-recorder dump, so fifty
+        // teardowns stay quiet.
+        let config = cluster_cfg(TransportKind::InProc).with_obs(ObsConfig {
+            metrics_addr: Some("127.0.0.1:0".to_string()),
+            dump: false,
+            sample_every_ns: 1,
+        });
+        for round in 0..50 {
+            let run = launch_cluster(&assets, &q, &config)
+                .unwrap_or_else(|e| panic!("teardown {round} failed: {e}"));
+            assert_eq!(run.results.len(), q.len());
+        }
     }
 
     #[test]
@@ -228,16 +261,7 @@ mod tests {
     fn batched_source_agrees_with_storage_service() {
         let tier = loaded_tier(64, 3);
         let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                StorageService::spawn(
-                    Arc::clone(&transport),
-                    Arc::clone(&tier),
-                    NetworkModel::local(),
-                )
-                .unwrap()
-            })
-            .collect();
+        let handles: Vec<_> = (0..3).map(|_| spawn_storage(&transport, &tier)).collect();
         let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
 
         let mut source =
@@ -250,8 +274,7 @@ mod tests {
             let want = tier.get(node).map(|(s, b)| (s as u16, b));
             assert_eq!(*payload, want, "node {node}");
         }
-        // Scalar fetches ride the same multiplexed connections.
-        use grouting_query::RecordSource;
+        // Single-node fetches ride the same multiplexed connections.
         assert_eq!(
             source.fetch_raw(n(5)),
             tier.get(n(5)).map(|(s, b)| (s as u16, b))
@@ -283,25 +306,22 @@ mod tests {
             run_router(listener, &router_assets, &config, &RouterOptions::default())
         });
 
-        let storage = StorageService::spawn(
-            Arc::clone(&transport),
-            Arc::clone(&tier),
-            NetworkModel::local(),
-        )
-        .unwrap();
+        let storage = spawn_storage(&transport, &tier);
 
         // The flaky processor: hello, execute exactly one dispatch, then
-        // die *without* acknowledging the next one.
-        let flaky_transport = Arc::clone(&transport);
-        let flaky_addr = addr.clone();
+        // die *without* acknowledging the next one. It joins before any
+        // work is submitted (a MetricsRequest behind the hello is answered
+        // strictly after the router processed it).
+        let mut conn = transport.dial(&addr).unwrap();
+        conn.send(&Frame::Hello {
+            role: Role::Processor,
+            id: 0,
+        })
+        .unwrap();
+        conn.send(&Frame::MetricsRequest).unwrap();
+        assert!(matches!(conn.recv().unwrap(), Frame::Metrics { .. }));
         let flaky_tier = Arc::clone(&tier);
         let flaky = std::thread::spawn(move || {
-            let mut conn = flaky_transport.dial(&flaky_addr).unwrap();
-            conn.send(&Frame::Hello {
-                role: Role::Processor,
-                id: 0,
-            })
-            .unwrap();
             match conn.recv().unwrap() {
                 Frame::Dispatch { seq, query, .. } => {
                     let mut cache = config.build_cache();
@@ -328,8 +348,11 @@ mod tests {
             let _ = conn.recv().unwrap();
         });
 
-        // The healthy processor is the real service, batched fetch path.
-        let healthy = ProcessorService::spawn(
+        // The healthy processor is the real service. It too is in
+        // rotation before the client submits, so the flaky one never dies
+        // while it is the only processor the router knows.
+        let healthy_ready = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let healthy = ProcessorService::spawn_opts(
             Arc::clone(&transport),
             1,
             addr.clone(),
@@ -337,7 +360,19 @@ mod tests {
             tier.partitioner(),
             config,
             FetchMode::Batched,
+            ProcessorOptions {
+                ready: Some(Arc::clone(&healthy_ready)),
+                ..ProcessorOptions::default()
+            },
         );
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !healthy_ready.load(std::sync::atomic::Ordering::SeqCst) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "healthy processor never joined"
+            );
+            std::thread::yield_now();
+        }
 
         // The client streams enough work that the flaky processor is
         // mid-flight when it dies.
@@ -408,12 +443,7 @@ mod tests {
         let router = std::thread::spawn(move || {
             run_router(listener, &router_assets, &config, &RouterOptions::default())
         });
-        let storage = StorageService::spawn(
-            Arc::clone(&transport),
-            Arc::clone(&tier),
-            NetworkModel::local(),
-        )
-        .unwrap();
+        let storage = spawn_storage(&transport, &tier);
 
         // Dials the router as processor `id`, then blocks until the router
         // has processed the hello (a MetricsRequest on the same connection
@@ -617,13 +647,8 @@ mod tests {
         let router = std::thread::spawn(move || {
             run_router(listener, &router_assets, &config, &RouterOptions::default())
         });
-        let storage = StorageService::spawn(
-            Arc::clone(&transport),
-            Arc::clone(&tier),
-            NetworkModel::local(),
-        )
-        .unwrap();
-        let processor = ProcessorService::spawn(
+        let storage = spawn_storage(&transport, &tier);
+        let processor = ProcessorService::spawn_opts(
             Arc::clone(&transport),
             0,
             addr.clone(),
@@ -631,6 +656,7 @@ mod tests {
             tier.partitioner(),
             config,
             FetchMode::Batched,
+            ProcessorOptions::default(),
         );
 
         let mut client = transport.dial(&addr).unwrap();

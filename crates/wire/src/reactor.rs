@@ -1,9 +1,10 @@
 //! A readiness-driven reactor: one poll loop over many framed connections.
 //!
-//! PR 3 made the *fetch* path non-blocking ([`crate::flow::BatchMux`]);
-//! the control path — dispatch, completion, metrics — still burned one
-//! parked thread per connection: the router ran an acceptor thread plus a
-//! reader thread per peer, and every storage endpoint spawned a thread per
+//! The processors' miss path is non-blocking by construction — frontier
+//! batches through [`crate::flow::BatchMux`], the only fetch path. The
+//! control path — dispatch, completion, metrics — once burned one parked
+//! thread per connection: the router ran an acceptor thread plus a reader
+//! thread per peer, and every storage endpoint spawned a thread per
 //! inbound connection. This module replaces all of that with a single
 //! [`Reactor`] per node: it multiplexes the listener
 //! ([`Listener::try_accept`]) and every established connection
@@ -761,8 +762,10 @@ mod tests {
     use std::sync::Arc;
 
     fn frame(i: u32) -> Frame {
-        Frame::FetchRequest {
-            node: NodeId::new(i),
+        Frame::FetchBatchRequest {
+            req_id: u64::from(i),
+            nodes: vec![NodeId::new(i)],
+            issued_ns: None,
         }
     }
 
@@ -914,9 +917,12 @@ mod tests {
         // seen within the first sweep rather than after 200 frames.
         let mut events = Vec::new();
         reactor.poll(&mut events).unwrap();
-        let quiet_seen = events
-            .iter()
-            .any(|e| matches!(e, ReactorEvent::Frame(_, Frame::FetchRequest { node }) if node.raw() == 9999));
+        let quiet_seen = events.iter().any(|e| {
+            matches!(
+                e,
+                ReactorEvent::Frame(_, Frame::FetchBatchRequest { req_id: 9999, .. })
+            )
+        });
         assert!(quiet_seen, "bounded drain must reach the second peer");
         let flood_frames = events
             .iter()
@@ -964,8 +970,8 @@ mod tests {
                 events.clear();
                 reactor.wait(&mut events, &|| false).unwrap();
                 for event in events.drain(..) {
-                    if let ReactorEvent::Frame(id, Frame::FetchRequest { node }) = event {
-                        received.entry(id).or_default().push(node.raw());
+                    if let ReactorEvent::Frame(id, Frame::FetchBatchRequest { nodes, .. }) = event {
+                        received.entry(id).or_default().push(nodes[0].raw());
                         got += 1;
                     }
                 }

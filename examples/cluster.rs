@@ -10,8 +10,8 @@
 //! Sandboxes without loopback networking can set `GROUTING_NO_SOCKETS=1`
 //! to fall back to the hermetic in-process transport (same services, same
 //! frames, same encoded bytes). Adjacency fetches are frontier-batched and
-//! pipelined by default (`grouting-flow`); `GROUTING_BATCH=0` forces the
-//! scalar one-round-trip-per-node path for comparison.
+//! pipelined (`grouting-flow`): one batch per storage server per hop, a
+//! lone node travelling as a one-element batch.
 //! `GROUTING_PREFETCH=degree|hotspot` piggybacks speculative next-hop
 //! nodes onto the frontier batches (demand statistics stay identical; the
 //! speculative tally is reported from the final snapshot).
@@ -28,7 +28,6 @@
 //!
 //! ```bash
 //! cargo run --release --example cluster
-//! GROUTING_BATCH=0 cargo run --release --example cluster
 //! GROUTING_PREFETCH=hotspot cargo run --release --example cluster
 //! GROUTING_TRACE=stats cargo run --release --example cluster
 //! GROUTING_METRICS_ADDR=127.0.0.1:9464 cargo run --release --example cluster
@@ -40,12 +39,11 @@ use grouting_core::prelude::*;
 
 fn main() {
     let transport = TransportKind::from_env();
-    let fetch = grouting_core::wire::FetchMode::from_env();
     let overlap = grouting_core::wire::overlap_from_env(2);
     let prefetch = grouting_core::query::PrefetchConfig::from_env();
     let graph = DatasetProfile::at_scale(ProfileName::WebGraph, 0.1).generate();
     println!(
-        "WebGraph-profile graph: {} nodes, {} edges; transport: {transport}; fetch: {fetch}; \
+        "WebGraph-profile graph: {} nodes, {} edges; transport: {transport}; \
          overlap: {overlap}; prefetch: {}",
         graph.node_count(),
         graph.edge_count(),

@@ -32,8 +32,8 @@ use grouting_core::query::Query;
 use grouting_core::route::RoutingKind;
 use grouting_core::storage::StorageTier;
 use grouting_core::wire::{
-    launch_chaos_cluster, ChaosAction, ChaosScript, ClusterConfig, ClusterRun, FetchMode,
-    RetryPolicy, TransportKind,
+    launch_chaos_cluster, ChaosAction, ChaosScript, ClusterConfig, ClusterRun, RetryPolicy,
+    TransportKind,
 };
 
 fn n(i: u32) -> NodeId {
@@ -101,15 +101,13 @@ fn everything_dies_once() -> ChaosScript {
         .wave(wave(30..40))
 }
 
-fn chaos_config(transport: TransportKind, fetch: FetchMode) -> ClusterConfig {
+fn chaos_config(transport: TransportKind) -> ClusterConfig {
     let engine = EngineConfig {
         stealing: false,
         cache_capacity: 8 << 20,
         ..EngineConfig::paper_default(2, RoutingKind::Hash)
     };
-    ClusterConfig::new(engine, transport)
-        .with_fetch(fetch)
-        .with_retry(RetryPolicy::new(2, Duration::from_millis(1)))
+    ClusterConfig::new(engine, transport).with_retry(RetryPolicy::new(2, Duration::from_millis(1)))
 }
 
 /// Per-query processor assignments, in sequence order.
@@ -126,10 +124,10 @@ fn assignments(run: &ClusterRun, queries: usize) -> Vec<usize> {
     by_seq
 }
 
-fn assert_chaos_agreement(transport: TransportKind, fetch: FetchMode) {
+fn assert_chaos_agreement(transport: TransportKind) {
     let assets = disjoint_assets(40, 3, 2);
     let script = everything_dies_once();
-    let config = chaos_config(transport, fetch);
+    let config = chaos_config(transport);
 
     let chaos = launch_chaos_cluster(&assets, &script, &config).unwrap();
     let calm = launch_chaos_cluster(&assets, &script.fault_free(), &config).unwrap();
@@ -163,22 +161,12 @@ fn assert_chaos_agreement(transport: TransportKind, fetch: FetchMode) {
 
 #[test]
 fn chaos_agrees_inproc_batched() {
-    assert_chaos_agreement(TransportKind::InProc, FetchMode::Batched);
-}
-
-#[test]
-fn chaos_agrees_inproc_scalar() {
-    assert_chaos_agreement(TransportKind::InProc, FetchMode::Scalar);
+    assert_chaos_agreement(TransportKind::InProc);
 }
 
 // `GROUTING_NO_SOCKETS=1` falls back to the in-proc fabric so the suite
 // stays green in sandboxes without loopback sockets.
 #[test]
 fn chaos_agrees_tcp_batched() {
-    assert_chaos_agreement(TransportKind::from_env(), FetchMode::Batched);
-}
-
-#[test]
-fn chaos_agrees_tcp_scalar() {
-    assert_chaos_agreement(TransportKind::from_env(), FetchMode::Scalar);
+    assert_chaos_agreement(TransportKind::from_env());
 }
